@@ -102,6 +102,22 @@ def residual_ber(spec: CodewordSpec, rber: float) -> float:
     return max(0.0, mean_given_fail * p_fail / spec.n)
 
 
+def _distinct(rber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``rber`` and the map back to its flat lanes.
+
+    The tails below are elementwise, so evaluating them once per
+    distinct RBER (wear-leveled groups share one) and gathering through
+    ``inverse`` is bit-identical to evaluating every lane.  A lone
+    distinct value from several lanes is evaluated as a pair: numpy sums
+    a single column's pmf terms pairwise, several columns' in sequence.
+    """
+    flat = rber.ravel()
+    values, inverse = np.unique(flat, return_inverse=True)
+    if values.size == 1 and flat.size > 1:
+        values = np.repeat(values, 2)
+    return values, inverse
+
+
 def page_failure_prob_many(
     spec: CodewordSpec, rber: np.ndarray, codewords_per_page: int
 ) -> np.ndarray:
@@ -109,14 +125,15 @@ def page_failure_prob_many(
     if codewords_per_page < 1:
         raise ValueError("codewords_per_page must be >= 1")
     rber = np.asarray(rber, dtype=float)
-    if np.any((rber < 0.0) | (rber > 1.0)):
+    values, inverse = _distinct(rber)
+    if np.any((values < 0.0) | (values > 1.0)):
         raise ValueError("rber must be in [0, 1]")
-    p_cw = np.where(rber > 0.0, stats.binom.sf(spec.t, spec.n, rber), 0.0)
+    p_cw = np.where(values > 0.0, stats.binom.sf(spec.t, spec.n, values), 0.0)
     saturated = p_cw >= 1.0
     # log-space to stay accurate for tiny probabilities
     safe = np.where(saturated, 0.0, p_cw)
-    out = -np.expm1(codewords_per_page * np.log1p(-safe))
-    return np.where(saturated, 1.0, out)
+    out = np.where(saturated, 1.0, -np.expm1(codewords_per_page * np.log1p(-safe)))
+    return out[inverse].reshape(rber.shape)
 
 
 def residual_ber_many(spec: CodewordSpec, rber: np.ndarray) -> np.ndarray:
@@ -124,16 +141,17 @@ def residual_ber_many(spec: CodewordSpec, rber: np.ndarray) -> np.ndarray:
 
     Accepts any input shape (the batched fleet engine passes
     ``(n_devices, n_groups)``); the result matches the input shape.
+    The binomial tails are evaluated once per distinct value.
     """
     rber = np.asarray(rber, dtype=float)
     if spec.t == 0:
         return rber.astype(float, copy=True)
-    flat = rber.ravel()
-    p_fail = np.where(flat > 0.0, stats.binom.sf(spec.t, spec.n, flat), 0.0)
-    mean_errors = spec.n * flat
+    values, inverse = _distinct(rber)
+    p_fail = np.where(values > 0.0, stats.binom.sf(spec.t, spec.n, values), 0.0)
+    mean_errors = spec.n * values
     j = np.arange(spec.t + 1, dtype=float)
-    below = (j[:, None] * stats.binom.pmf(j[:, None], spec.n, flat[None, :])).sum(axis=0)
+    below = (j[:, None] * stats.binom.pmf(j[:, None], spec.n, values[None, :])).sum(axis=0)
     # mean_given_fail * p_fail == mean_errors - below; guard the p_fail == 0
     # branch of the scalar form and clamp the cancellation residue
     out = np.where(p_fail > 0.0, np.maximum(0.0, mean_errors - below) / spec.n, 0.0)
-    return out.reshape(rber.shape)
+    return out[inverse].reshape(rber.shape)

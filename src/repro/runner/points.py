@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.workloads.mobile import MobileWorkload, WorkloadConfig
+from repro.workloads.mobile import MobileWorkload, WorkloadConfig, stacked_write_volumes
 
 __all__ = [
     "DEFAULT_MIX_WEIGHTS",
@@ -297,32 +297,27 @@ def population_point(params: dict, seed: int) -> float:
     return result.final.sys_wear_fraction
 
 
-def _population_batch_results(params: dict, seed: int) -> list:
+def _population_batch_run(params: dict) -> tuple:
     """Shared body of the population batch points: one vectorized pass
-    over the chunk's devices, returning their ``LifetimeResult``s in
-    user order (see :func:`population_batch_point` for the params)."""
+    over the chunk's devices, built straight from one build's specs.
+    Returns the batch device (holding the end state) and the devices'
+    ``LifetimeResult``s in user order (see :func:`population_batch_point`
+    for the params)."""
     from repro.sim.baselines import ALL_BUILDERS
-    from repro.sim.batch import SummaryBatch, run_lifetime_batch
+    from repro.sim.batch import BatchLifetimeDevice, SummaryBatch, run_lifetime_batch
 
     days = params["days"]
-    builder = ALL_BUILDERS[params.get("build", "tlc_baseline")]
     seeds = list(params["workload_seeds"])
-    volumes = [
-        MobileWorkload(
-            WorkloadConfig(mix=mix, days=days, seed=ws)
-        ).daily_volume_arrays()
-        for mix, ws in zip(params["mixes"], seeds)
-    ]
-    builds = [builder(params["capacity_gb"]) for _ in volumes]
+    build = ALL_BUILDERS[params.get("build", "tlc_baseline")](params["capacity_gb"])
+    summaries = SummaryBatch(**stacked_write_volumes(
+        [WorkloadConfig(mix=mix, days=days, seed=ws)
+         for mix, ws in zip(params["mixes"], seeds)]
+    ))
     plans = None
     if params.get("faults"):
-        plans = [
-            _fault_plan(build, params["faults"], days, ws)
-            for build, ws in zip(builds, seeds)
-        ]
-    return run_lifetime_batch(
-        builds, SummaryBatch.from_volume_arrays(volumes), fault_plans=plans
-    )
+        plans = [_fault_plan(build, params["faults"], days, ws) for ws in seeds]
+    device = BatchLifetimeDevice.from_build(build, len(seeds))
+    return device, run_lifetime_batch(build, device, summaries, fault_plans=plans)
 
 
 def population_batch_point(params: dict, seed: int) -> list[float]:
@@ -341,7 +336,7 @@ def population_batch_point(params: dict, seed: int) -> list[float]:
     """
     return [
         result.final.sys_wear_fraction
-        for result in _population_batch_results(params, seed)
+        for result in _population_batch_run(params)[1]
     ]
 
 
@@ -354,7 +349,7 @@ def population_batch_observables(params: dict, seed: int) -> dict:
     float64/int64 array per column, in user order -- exactly the shape
     the columnar result store packs into compressed blocks.
     """
-    results = _population_batch_results(params, seed)
+    _, results = _population_batch_run(params)
     finals = [result.final for result in results]
     return {
         "wear": np.array([f.sys_wear_fraction for f in finals], dtype=np.float64),
@@ -486,32 +481,28 @@ def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
     from repro.flash.cell import CellTechnology
     from repro.flash.reliability import ENDURANCE_TABLE
     from repro.sim.baselines import build_sos, build_tlc_baseline
-    from repro.sim.batch import SummaryBatch, run_lifetime_batch
+    from repro.sim.batch import BatchLifetimeDevice, SummaryBatch, run_lifetime_batch
 
     capacity = params["capacity_gb"]
     wafs = list(params["wafs"])
-    volumes = MobileWorkload(
-        WorkloadConfig(
-            mix=params["mix"], days=params["days"], seed=params["workload_seed"]
-        )
-    ).daily_volume_arrays()
+    workload = WorkloadConfig(
+        mix=params["mix"], days=params["days"], seed=params["workload_seed"]
+    )
     original = ENDURANCE_TABLE[CellTechnology.PLC]
     ENDURANCE_TABLE[CellTechnology.PLC] = dataclasses.replace(
         original, rated_pec=params["plc_pec"]
     )
     try:
-        builds = []
-        for waf in wafs:
-            build = build_sos(capacity)
-            for part in build.device.partitions.values():
-                part.spec = dataclasses.replace(part.spec, waf=waf)
-            builds.append(build)
+        build = build_sos(capacity)
+        device = BatchLifetimeDevice.from_build(
+            build, len(wafs), waf=np.array(wafs, dtype=float)
+        )
         results = run_lifetime_batch(
-            builds, SummaryBatch.from_volume_arrays([volumes] * len(wafs))
+            build, device, SummaryBatch(**stacked_write_volumes([workload] * len(wafs)))
         )
         tlc = build_tlc_baseline(capacity)
         out = []
-        for waf, build, result in zip(wafs, builds, results):
+        for waf, result in zip(wafs, results):
             capacity_fraction = result.final.capacity_gb / capacity
             out.append(
                 {

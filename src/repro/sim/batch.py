@@ -22,11 +22,11 @@ Equivalence contract with the scalar engine (pinned by tier-1 tests):
   retire, masked reductions group additions differently than the scalar
   engine's compacted reductions and agreement is ~1e-12 relative.
 
-Devices in one batch must share their build topology (same partitions,
-same specs); only the write-amplification factor ``waf`` may vary per
-device, which is what the A6 sensitivity grid sweeps.  Heterogeneous
-populations batch per homogeneous sub-population (see
-``runner.points``).
+Devices in one batch share one build's partition specs and are built
+straight from them (:meth:`BatchLifetimeDevice.from_build`); only the
+write-amplification factor ``waf`` may vary per device, which is what
+the A6 sensitivity grid sweeps.  Heterogeneous populations batch per
+homogeneous sub-population (see ``runner.points``).
 
 Observability: one batched pass charges N logical span calls
 (``obs.span(name, calls=N)``) and bumps shared counters by N, so
@@ -37,8 +37,8 @@ a ``device`` index field and are grouped by day rather than by device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,27 +113,6 @@ class SummaryBatch:
             delete_gb=field("delete_gb"),
         )
 
-    @classmethod
-    def from_volume_arrays(
-        cls, per_device: Sequence[Mapping[str, np.ndarray]]
-    ) -> "SummaryBatch":
-        """Stack :meth:`MobileWorkload.daily_volume_arrays` outputs."""
-        if not per_device:
-            raise ValueError("at least one device's volumes required")
-        day = np.asarray(per_device[0]["day"], dtype=np.int64)
-        for volumes in per_device[1:]:
-            if not np.array_equal(np.asarray(volumes["day"]), day):
-                raise ValueError("all devices must share the same day sequence")
-        def field(name: str) -> np.ndarray:
-            return np.stack([np.asarray(v[name], dtype=float) for v in per_device])
-        return cls(
-            day=day,
-            new_media_gb=field("new_media_gb"),
-            new_other_gb=field("new_other_gb"),
-            overwrite_gb=field("overwrite_gb"),
-            delete_gb=field("delete_gb"),
-        )
-
 
 class BatchPartition:
     """N stacked copies of one :class:`Partition`, stepped together.
@@ -190,51 +169,6 @@ class BatchPartition:
             self._waf = np.asarray(waf, dtype=float).copy()
             if self._waf.shape != (n_devices,):
                 raise ValueError("waf must have shape (n_devices,)")
-
-    # -- scalar interop ---------------------------------------------------------
-
-    @classmethod
-    def from_partitions(cls, partitions: Sequence[Partition]) -> "BatchPartition":
-        """Stack scalar partitions (specs must match except ``waf``)."""
-        if not partitions:
-            raise ValueError("at least one partition required")
-        base = partitions[0].spec
-        canonical = replace(base, waf=0.0)
-        for p in partitions[1:]:
-            if replace(p.spec, waf=0.0) != canonical:
-                raise ValueError(
-                    "batched partitions must share their spec (only waf may vary)"
-                )
-        self = cls(
-            base,
-            len(partitions),
-            waf=np.array([p.spec.waf for p in partitions], dtype=float),
-        )
-        states = [p.export_group_state() for p in partitions]
-        self._capacity = np.stack([s["capacity_gb"] for s in states])
-        self._pec = np.stack([s["pec"] for s in states])
-        self._write_time = np.stack([s["write_time"] for s in states])
-        self._live = np.stack([s["live_gb"] for s in states])
-        self._retired = np.stack([s["retired"] for s in states])
-        self._refreshes = np.stack(
-            [s["refreshes"] for s in states]
-        ).astype(np.int32)
-        mode_bits = np.stack([s["mode_bits"] for s in states])
-        self._mode_idx = self._mode_idx_from_bits(mode_bits)
-        self._heterogeneous = bool((self._mode_idx != 0).any())
-        self._cold_cursor = np.array(
-            [p._cold_cursor for p in partitions], dtype=np.int64
-        )
-        self.refresh_writes_gb = np.array(
-            [p.refresh_writes_gb for p in partitions], dtype=float
-        )
-        self.retired_count = np.array(
-            [p.retired_count for p in partitions], dtype=np.int64
-        )
-        self.resuscitated_count = np.array(
-            [p.resuscitated_count for p in partitions], dtype=np.int64
-        )
-        return self
 
     def _mode_idx_from_bits(self, mode_bits: np.ndarray) -> np.ndarray:
         """Map per-group operating bits onto mode-ladder indexes."""
@@ -316,8 +250,11 @@ class BatchPartition:
         ).copy()
         self._waf = np.asarray(state["waf"], dtype=float).copy()
 
+    # -- scalar interop ---------------------------------------------------------
+
     def scatter_to(self, partitions: Sequence[Partition]) -> None:
-        """Write per-device slices back into scalar partitions."""
+        """Write per-device slices back into scalar partitions (the hook
+        the scalar-equivalence tests compare end states through)."""
         if len(partitions) != self.n_devices:
             raise ValueError("partition count must match n_devices")
         for d, part in enumerate(partitions):
@@ -621,22 +558,18 @@ class BatchLifetimeDevice:
         self.now_years = 0.0
 
     @classmethod
-    def from_devices(cls, devices: Sequence) -> "BatchLifetimeDevice":
-        """Stack scalar :class:`LifetimeDevice` instances."""
-        names = list(devices[0].partitions)
-        for device in devices[1:]:
-            if list(device.partitions) != names:
-                raise ValueError("all devices must share partition names/order")
-        batch = cls(
+    def from_build(
+        cls, build: DeviceBuild, n_devices: int, waf: np.ndarray | None = None
+    ) -> "BatchLifetimeDevice":
+        """``n_devices`` fresh copies of ``build``'s device, straight from
+        its partition specs; ``waf`` (shape ``(n_devices,)``) overrides
+        every partition's write amplification per device."""
+        return cls(
             {
-                name: BatchPartition.from_partitions(
-                    [device.partitions[name] for device in devices]
-                )
-                for name in names
+                name: BatchPartition(partition.spec, n_devices, waf)
+                for name, partition in build.device.partitions.items()
             }
         )
-        batch.now_years = devices[0].now_years
-        return batch
 
     def capacity_gb(self) -> np.ndarray:
         """Total current usable capacity per device, ``(n_devices,)``."""
@@ -722,29 +655,31 @@ def _apply_day_faults_batch(
 
 
 def run_lifetime_batch(
-    builds: Sequence[DeviceBuild],
+    build: DeviceBuild,
+    device: BatchLifetimeDevice,
     summaries: SummaryBatch | Sequence[Sequence[DailySummary]],
     config: SimConfig | None = None,
     fault_plans: Sequence[FaultPlan | None] | None = None,
 ) -> list[LifetimeResult]:
-    """Run N device builds through their daily workloads in one pass.
+    """Run ``device``'s N stacked copies of ``build`` through their daily
+    workloads in one pass.
 
     The population analogue of :func:`repro.sim.engine.run_lifetime`:
-    one :class:`LifetimeResult` per build, matching N scalar runs (see
-    the module docstring for the equivalence contract).  Builds must
-    share topology and specs (``waf`` may vary); each build's scalar
-    device is updated in place with its final state, as the scalar
-    engine does.
+    one :class:`LifetimeResult` per device, matching N scalar runs (see
+    the module docstring for the equivalence contract).  ``device``
+    (typically :meth:`BatchLifetimeDevice.from_build`) must have
+    ``build``'s partitions; it is stepped in place, so the caller holds
+    the end state.
     """
     config = config or SimConfig()
-    if not builds:
-        raise ValueError("at least one build required")
+    if list(device.partitions) != list(build.device.partitions):
+        raise ValueError("device partitions do not match the build's")
     if not isinstance(summaries, SummaryBatch):
         summaries = SummaryBatch.from_summaries(summaries)
-    n = len(builds)
+    n = device.n_devices
     if summaries.n_devices != n:
         raise ValueError(
-            f"{n} builds but volumes for {summaries.n_devices} devices"
+            f"{n} devices but volumes for {summaries.n_devices} devices"
         )
     plans: list[FaultPlan | None]
     if fault_plans is None:
@@ -752,8 +687,7 @@ def run_lifetime_batch(
     else:
         plans = list(fault_plans)
         if len(plans) != n:
-            raise ValueError(f"{n} builds but {len(plans)} fault plans")
-    device = BatchLifetimeDevice.from_devices([b.device for b in builds])
+            raise ValueError(f"{n} devices but {len(plans)} fault plans")
     results = [
         LifetimeResult(
             build_name=build.name,
@@ -761,7 +695,7 @@ def run_lifetime_batch(
             intensity_kg_per_gb=build.intensity_kg_per_gb,
             faults=FaultSummary() if plan is not None else None,
         )
-        for build, plan in zip(builds, plans)
+        for plan in plans
     ]
     has_faults = any(plan is not None for plan in plans)
     single = "main" in device.partitions
@@ -871,10 +805,4 @@ def run_lifetime_batch(
                             resuscitated_groups=int(resuscitated[d]),
                         )
                     )
-    # mirror the scalar engine's in-place device mutation: each build's
-    # device ends the run holding its final state
-    for name, partition in device.partitions.items():
-        partition.scatter_to([b.device.partitions[name] for b in builds])
-    for build in builds:
-        build.device.now_years = device.now_years
     return results

@@ -22,7 +22,7 @@ from repro.host.files import FileKind, MEDIA_KINDS
 from .apps import APP_PROFILES, USER_MIXES, AppProfile
 from .traces import DailySummary, OpKind, TraceOp
 
-__all__ = ["WorkloadConfig", "MobileWorkload"]
+__all__ = ["WorkloadConfig", "MobileWorkload", "stacked_write_volumes"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,35 +107,20 @@ class MobileWorkload:
         loop's addition order elementwise.
 
         Consumes the same RNG state as :meth:`daily_summaries`; use a
-        fresh workload instance per call, as the batched lifetime path
-        does (one instance per simulated device).
+        fresh workload instance per call.
         """
         days = self.config.days
         apps = list(self._mix.items())
         jitter = self._rng.lognormal(0.0, self.config.daily_jitter_sigma,
                                      size=(days, len(apps), 2))
-        media = np.zeros(days)
-        other = np.zeros(days)
-        overwrite = np.zeros(days)
+        volumes = _write_volumes_gb(
+            apps, jitter[:, :, 0].T, self.config.delete_fraction
+        )
         read = np.zeros(days)
         for j, (app_name, factor) in enumerate(apps):
-            profile = APP_PROFILES[app_name]
-            vol_mb = profile.write_mb_per_day * factor * jitter[:, j, 0]
-            ow = vol_mb * profile.overwrite_fraction
-            fresh = vol_mb - ow
-            media += fresh * profile.media_fraction
-            other += fresh * (1.0 - profile.media_fraction)
-            overwrite += ow
-            read += profile.read_mb_per_day * factor * jitter[:, j, 1]
-        delete = (media + other) * self.config.delete_fraction
-        return {
-            "day": np.arange(days, dtype=np.int64),
-            "new_media_gb": media / 1024.0,
-            "new_other_gb": other / 1024.0,
-            "overwrite_gb": overwrite / 1024.0,
-            "read_gb": read / 1024.0,
-            "delete_gb": delete / 1024.0,
-        }
+            read += APP_PROFILES[app_name].read_mb_per_day * factor * jitter[:, j, 1]
+        return {"day": np.arange(days, dtype=np.int64), **volumes,
+                "read_gb": read / 1024.0}
 
     def _day_volume_mb(self, profile: AppProfile, factor: float) -> float:
         jitter = self._rng.lognormal(0.0, self.config.daily_jitter_sigma)
@@ -231,3 +216,68 @@ class MobileWorkload:
             kinds = [FileKind.DOCUMENT, FileKind.DOWNLOAD, FileKind.APP_METADATA]
             weights = np.array([0.3, 0.3, 0.4])
         return kinds[self._rng.choice(len(kinds), p=weights / weights.sum())]
+
+
+def _write_volumes_gb(
+    apps: list[tuple[str, float]], write_jitter: np.ndarray, delete_fraction
+) -> dict[str, np.ndarray]:
+    """Daily write volumes from per-app write jitter ``write_jitter[j]``
+    (any shape ending in days), accumulated in the scalar loop's per-app
+    order so every lane is bit-identical to :meth:`daily_summaries`."""
+    media = np.zeros(write_jitter.shape[1:])
+    other = np.zeros_like(media)
+    overwrite = np.zeros_like(media)
+    for j, (app_name, factor) in enumerate(apps):
+        profile = APP_PROFILES[app_name]
+        vol_mb = profile.write_mb_per_day * factor * write_jitter[j]
+        ow = vol_mb * profile.overwrite_fraction
+        fresh = vol_mb - ow
+        media += fresh * profile.media_fraction
+        other += fresh * (1.0 - profile.media_fraction)
+        overwrite += ow
+    delete = (media + other) * delete_fraction
+    return {
+        "new_media_gb": media / 1024.0,
+        "new_other_gb": other / 1024.0,
+        "overwrite_gb": overwrite / 1024.0,
+        "delete_gb": delete / 1024.0,
+    }
+
+
+def stacked_write_volumes(configs: list[WorkloadConfig]) -> dict[str, np.ndarray]:
+    """Write volumes of many workloads sharing ``days``, stacked on a
+    device axis: ``"day"`` ``(days,)`` plus the four volume fields of
+    ``(len(configs), days)``, row ``i`` bit-identical to
+    ``MobileWorkload(configs[i]).daily_volume_arrays()``.  Each device
+    keeps its own generator and exact ``(days, apps, 2)`` draw (only the
+    write half is kept); the per-app accumulation runs once per mix
+    across that mix's devices instead of once per device.
+    """
+    if not configs:
+        raise ValueError("at least one workload config required")
+    days = configs[0].days
+    if any(config.days != days for config in configs):
+        raise ValueError("all workloads must share the same day count")
+    out = {
+        name: np.empty((len(configs), days))
+        for name in ("new_media_gb", "new_other_gb", "overwrite_gb", "delete_gb")
+    }
+    by_mix: dict[str, list[int]] = {}
+    for i, config in enumerate(configs):
+        if config.mix not in USER_MIXES:
+            raise ValueError(f"unknown user mix {config.mix!r}")
+        by_mix.setdefault(config.mix, []).append(i)
+    for mix, rows in by_mix.items():
+        apps = list(USER_MIXES[mix].items())
+        write_jitter = np.empty((len(apps), len(rows), days))
+        for k, i in enumerate(rows):
+            draw = np.random.default_rng(configs[i].seed).lognormal(
+                0.0, configs[i].daily_jitter_sigma, size=(days, len(apps), 2)
+            )
+            write_jitter[:, k, :] = draw[:, :, 0].T
+        delete_fraction = np.array(
+            [configs[i].delete_fraction for i in rows]
+        )[:, None]
+        for name, values in _write_volumes_gb(apps, write_jitter, delete_fraction).items():
+            out[name][rows] = values
+    return {"day": np.arange(days, dtype=np.int64), **out}

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import merge_snapshots, observed, strip_timings
 from repro.sim import (
+    BatchLifetimeDevice,
     SummaryBatch,
     build_sos,
     build_tlc_baseline,
@@ -26,6 +27,8 @@ from repro.sim import (
     run_lifetime_batch,
 )
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
+
+from batch_oracle import run_builds_batch
 
 MIX_NAMES = ("light", "typical", "heavy", "adversarial")
 
@@ -74,7 +77,7 @@ def _run_both(builder, mixes, days, with_faults=False):
         for i, (b, w) in enumerate(zip(scalar_builds, workloads))
     ]
     batch_builds = [builder() for _ in mixes]
-    batched = run_lifetime_batch(
+    _, batched = run_builds_batch(
         batch_builds, SummaryBatch.from_summaries(workloads), fault_plans=plans
     )
     return scalar, batched, scalar_builds, batch_builds
@@ -163,8 +166,10 @@ def test_batch_obs_counters_match_scalar_runs():
         for i, w in enumerate(workloads):
             run_lifetime(build_tlc_baseline(), w)
     with observed(trace=True) as batch_obs:
+        build = build_tlc_baseline()
         run_lifetime_batch(
-            [build_tlc_baseline() for _ in mixes],
+            build,
+            BatchLifetimeDevice.from_build(build, len(mixes)),
             SummaryBatch.from_summaries(workloads),
         )
     scalar_snap = strip_timings(merge_snapshots(scalar_obs.registry.snapshot()))
@@ -183,11 +188,22 @@ def test_batch_obs_counters_match_scalar_runs():
 
 
 def test_batch_rejects_mismatched_inputs():
-    w = _workloads(["typical"], 30)
-    with pytest.raises(ValueError):
-        run_lifetime_batch([], SummaryBatch.from_summaries(w))
-    builds = [build_tlc_baseline(), build_sos()]
-    with pytest.raises(ValueError):
+    w = _workloads(["typical", "light"], 30)
+    tlc = build_tlc_baseline()
+    with pytest.raises(ValueError, match="partitions"):
         run_lifetime_batch(
-            builds, SummaryBatch.from_summaries(_workloads(["typical", "light"], 30))
+            tlc, BatchLifetimeDevice.from_build(build_sos(), 2),
+            SummaryBatch.from_summaries(w),
         )
+    with pytest.raises(ValueError, match="volumes"):
+        run_lifetime_batch(
+            tlc, BatchLifetimeDevice.from_build(tlc, 3),
+            SummaryBatch.from_summaries(w),
+        )
+    with pytest.raises(ValueError, match="fault plans"):
+        run_lifetime_batch(
+            tlc, BatchLifetimeDevice.from_build(tlc, 2),
+            SummaryBatch.from_summaries(w), fault_plans=[None],
+        )
+    with pytest.raises(ValueError):
+        BatchLifetimeDevice.from_build(tlc, 0)

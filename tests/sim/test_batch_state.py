@@ -19,9 +19,7 @@ N = 4
 
 
 def _batch(builder=build_tlc_baseline, n=N):
-    return BatchLifetimeDevice.from_devices(
-        [builder(32.0).device for _ in range(n)]
-    )
+    return BatchLifetimeDevice.from_build(builder(32.0), n)
 
 
 def _step_days(batch, days, seed=0):
